@@ -11,12 +11,16 @@ pub type Vertex = u32;
 
 /// An undirected simple graph with sorted adjacency lists.
 ///
+/// The lists are stored back to back (compressed sparse rows): the
+/// neighbors of `v` are `targets[offsets[v]..offsets[v + 1]]`, so a graph
+/// is two allocations however many vertices it has.
+///
 /// Immutable once built (see [`GraphBuilder`]); all queries are borrow-only,
 /// so graphs can be shared freely across threads during experiment sweeps.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Graph {
-    adj: Vec<Vec<Vertex>>,
-    num_edges: usize,
+    offsets: Vec<usize>,
+    targets: Vec<Vertex>,
 }
 
 impl Graph {
@@ -24,19 +28,56 @@ impl Graph {
     /// which degenerates the problem to classical `α||C_max`).
     pub fn empty(n: usize) -> Self {
         Graph {
-            adj: vec![Vec::new(); n],
-            num_edges: 0,
+            offsets: vec![0; n + 1],
+            targets: Vec::new(),
         }
     }
 
     /// Builds a graph from an edge list. Self-loops are rejected; duplicate
     /// edges are merged.
     pub fn from_edges(n: usize, edges: &[(Vertex, Vertex)]) -> Self {
-        let mut b = GraphBuilder::new(n);
         for &(u, v) in edges {
-            b.add_edge(u, v);
+            check_edge(n, u, v);
         }
-        b.build()
+        Self::from_checked_edges(n, edges)
+    }
+
+    /// Compresses valid edges: counts degrees, fills every vertex's slice,
+    /// then sorts each slice and squeezes out duplicates in place.
+    fn from_checked_edges(n: usize, edges: &[(Vertex, Vertex)]) -> Self {
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut fill = offsets[..n].to_vec();
+        let mut targets = vec![0 as Vertex; offsets[n]];
+        for &(u, v) in edges {
+            targets[fill[u as usize]] = v;
+            fill[u as usize] += 1;
+            targets[fill[v as usize]] = u;
+            fill[v as usize] += 1;
+        }
+        let mut write = 0;
+        let mut start = 0;
+        for v in 0..n {
+            let end = offsets[v + 1];
+            targets[start..end].sort_unstable();
+            offsets[v] = write;
+            for i in start..end {
+                if write == offsets[v] || targets[write - 1] != targets[i] {
+                    targets[write] = targets[i];
+                    write += 1;
+                }
+            }
+            start = end;
+        }
+        offsets[n] = write;
+        targets.truncate(write);
+        Graph { offsets, targets }
     }
 
     /// The complete bipartite graph `K_{a,b}`: left part `0..a`, right part
@@ -86,47 +127,51 @@ impl Graph {
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.adj.len()
+        self.offsets.len() - 1
     }
 
     /// Number of edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.targets.len() / 2
     }
 
     /// Neighbors of `v`, sorted ascending.
     #[inline]
     pub fn neighbors(&self, v: Vertex) -> &[Vertex] {
-        &self.adj[v as usize]
+        &self.targets[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: Vertex) -> usize {
-        self.adj[v as usize].len()
+        self.offsets[v as usize + 1] - self.offsets[v as usize]
     }
 
     /// Maximum degree Δ(G).
     pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).max().unwrap_or(0)
+        self.offsets
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
     }
 
     /// Whether the edge `{u, v}` is present. `O(log deg(u))`.
     pub fn has_edge(&self, u: Vertex, v: Vertex) -> bool {
-        self.adj[u as usize].binary_search(&v).is_ok()
+        self.neighbors(u).binary_search(&v).is_ok()
     }
 
     /// Iterator over all vertices.
     pub fn vertices(&self) -> impl Iterator<Item = Vertex> + '_ {
-        0..self.adj.len() as Vertex
+        0..self.num_vertices() as Vertex
     }
 
     /// Iterator over all edges `(u, v)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (Vertex, Vertex)> + '_ {
-        self.adj.iter().enumerate().flat_map(|(u, nbrs)| {
-            let u = u as Vertex;
-            nbrs.iter()
+        self.vertices().flat_map(move |u| {
+            self.neighbors(u)
+                .iter()
                 .copied()
                 .filter(move |&v| u < v)
                 .map(move |v| (u, v))
@@ -155,20 +200,12 @@ impl Graph {
     /// `self.num_vertices()`. Returns the shift applied to `other`.
     pub fn disjoint_union(&self, other: &Graph) -> (Graph, Vertex) {
         let shift = self.num_vertices() as Vertex;
-        let mut adj = self.adj.clone();
-        adj.extend(
-            other
-                .adj
-                .iter()
-                .map(|nbrs| nbrs.iter().map(|&v| v + shift).collect::<Vec<_>>()),
-        );
-        (
-            Graph {
-                adj,
-                num_edges: self.num_edges + other.num_edges,
-            },
-            shift,
-        )
+        let base = self.targets.len();
+        let mut offsets = self.offsets.clone();
+        offsets.extend(other.offsets[1..].iter().map(|&o| o + base));
+        let mut targets = self.targets.clone();
+        targets.extend(other.targets.iter().map(|&v| v + shift));
+        (Graph { offsets, targets }, shift)
     }
 
     /// The subgraph induced by the vertices where `keep` is true, together
@@ -191,31 +228,70 @@ impl Graph {
         }
         (builder.build(), remap)
     }
+
+    /// The same graph with vertex `order[c]` renamed to `c`; `order` must
+    /// be a permutation of the vertices.
+    pub fn permuted(&self, order: &[Vertex]) -> Graph {
+        debug_assert_eq!(order.len(), self.num_vertices());
+        let mut inv = vec![0 as Vertex; order.len()];
+        let mut offsets = Vec::with_capacity(order.len() + 1);
+        offsets.push(0);
+        for (c, &v) in order.iter().enumerate() {
+            inv[v as usize] = c as Vertex;
+            offsets.push(offsets[c] + self.degree(v));
+        }
+        // Visiting the new ids in increasing order appends each one to its
+        // neighbors' lists in increasing order: no list needs sorting.
+        let mut fill = offsets[..order.len()].to_vec();
+        let mut targets = vec![0 as Vertex; self.targets.len()];
+        for (c, &v) in order.iter().enumerate() {
+            for &u in self.neighbors(v) {
+                let slot = &mut fill[inv[u as usize] as usize];
+                targets[*slot] = c as Vertex;
+                *slot += 1;
+            }
+        }
+        Graph { offsets, targets }
+    }
+}
+
+/// Panics unless `{u, v}` is a non-loop edge between vertices of `0..n`.
+fn check_edge(n: usize, u: Vertex, v: Vertex) {
+    assert_ne!(
+        u, v,
+        "self-loops are not allowed in an incompatibility graph"
+    );
+    assert!(
+        (u as usize) < n && (v as usize) < n,
+        "edge ({u}, {v}) out of range for {n} vertices"
+    );
 }
 
 /// Incremental builder for [`Graph`]. Deduplicates edges and rejects loops.
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
-    adj: Vec<Vec<Vertex>>,
+    n: usize,
+    edges: Vec<(Vertex, Vertex)>,
 }
 
 impl GraphBuilder {
     /// A builder for a graph with `n` vertices.
     pub fn new(n: usize) -> Self {
         GraphBuilder {
-            adj: vec![Vec::new(); n],
+            n,
+            edges: Vec::new(),
         }
     }
 
     /// Current number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.adj.len()
+        self.n
     }
 
     /// Appends `count` fresh isolated vertices, returning the id of the first.
     pub fn add_vertices(&mut self, count: usize) -> Vertex {
-        let first = self.adj.len() as Vertex;
-        self.adj.resize(self.adj.len() + count, Vec::new());
+        let first = self.n as Vertex;
+        self.n += count;
         first
     }
 
@@ -224,33 +300,14 @@ impl GraphBuilder {
     ///
     /// [`build`]: GraphBuilder::build
     pub fn add_edge(&mut self, u: Vertex, v: Vertex) {
-        assert_ne!(
-            u, v,
-            "self-loops are not allowed in an incompatibility graph"
-        );
-        assert!(
-            (u as usize) < self.adj.len() && (v as usize) < self.adj.len(),
-            "edge ({u}, {v}) out of range for {} vertices",
-            self.adj.len()
-        );
-        self.adj[u as usize].push(v);
-        self.adj[v as usize].push(u);
+        check_edge(self.n, u, v);
+        self.edges.push((u, v));
     }
 
     /// Finalizes into an immutable [`Graph`]: sorts adjacency lists and
     /// merges duplicate edges.
-    pub fn build(mut self) -> Graph {
-        let mut num_half_edges = 0usize;
-        for nbrs in &mut self.adj {
-            nbrs.sort_unstable();
-            nbrs.dedup();
-            num_half_edges += nbrs.len();
-        }
-        debug_assert_eq!(num_half_edges % 2, 0);
-        Graph {
-            adj: self.adj,
-            num_edges: num_half_edges / 2,
-        }
+    pub fn build(self) -> Graph {
+        Graph::from_checked_edges(self.n, &self.edges)
     }
 }
 
@@ -365,6 +422,15 @@ mod tests {
         assert_eq!(remap[1], u32::MAX);
         assert_eq!(remap[2], 1);
         assert!(sub.has_edge(remap[2], remap[3]));
+    }
+
+    #[test]
+    fn permuted_renames_vertices() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (1, 3)]); // star at 1
+        let order = [1, 3, 0, 2]; // old 1 becomes 0, old 3 becomes 1, ...
+        let p = g.permuted(&order);
+        assert_eq!(p, Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]));
+        assert_eq!(p.num_edges(), 3);
     }
 
     #[test]

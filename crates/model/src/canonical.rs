@@ -14,9 +14,18 @@
 //! an individualization search over the remaining ties that keeps the
 //! lexicographically smallest certificate. Fully interchangeable tie
 //! cells — every outside job adjacent to all or none of the cell, the
-//! cell itself complete or empty — are ordered directly without
-//! branching, which covers the common symmetric families (empty graphs,
-//! complete bipartite blocks, equal-size job classes) in linear time.
+//! cell itself complete or empty — need no branching: permuting one's
+//! members is an automorphism that keeps every color, and whether a cell
+//! is interchangeable depends on adjacency alone, so individualizing one
+//! such cell never changes it for another. Each search node therefore
+//! individualizes *every* interchangeable tied cell in one batched pass
+//! (cells in color order, members in id order) and refines once,
+//! repeating until no tied cell is interchangeable; only then does it
+//! branch, on the first tied cell. That covers the common symmetric
+//! families (empty graphs, complete bipartite blocks, equal-size job
+//! classes, the isolated jobs and twin leaves of sparse random graphs)
+//! in a handful of refinement rounds. Only a search that branches builds
+//! per-leaf certificate keys, and only once a second leaf exists.
 //! A node budget bounds the search on adversarially symmetric inputs;
 //! past it the canonical form is still deterministic and self-consistent
 //! but may distinguish some relabelings (costing a cache miss, never a
@@ -24,7 +33,6 @@
 //! on lookup, not just the fingerprint).
 
 use crate::instance::{Instance, MachineEnvironment};
-use crate::io::InstanceData;
 use crate::schedule::Schedule;
 use bisched_graph::Graph;
 
@@ -34,7 +42,7 @@ use bisched_graph::Graph;
 const SEARCH_BUDGET: usize = 4096;
 
 /// Maximum number of `R` machine-row orderings enumerated when several
-/// rows share the same sorted-multiset key.
+/// rows share the same multiset key.
 const MACHINE_ORDER_BUDGET: usize = 48;
 
 /// The canonical form of an instance plus everything needed to translate
@@ -55,7 +63,7 @@ pub struct Canonical {
     /// canonical instances. Cache lookups must compare this, not only the
     /// fingerprint, so hash collisions degrade to misses.
     pub certificate: Vec<u8>,
-    /// 128-bit FNV-1a hash of [`certificate`](Self::certificate).
+    /// 128-bit [`fnv128`] hash of [`certificate`](Self::certificate).
     pub fingerprint: u128,
 }
 
@@ -89,42 +97,33 @@ fn canonicalize_pq(inst: &Instance) -> Canonical {
     let init: Vec<u64> = (0..n)
         .map(|j| mix(0x9e37_79b9, inst.processing(j as u32)))
         .collect();
-    let order = canonical_job_order(inst.graph(), &init);
+    let order = canonical_job_order(inst.graph(), init);
     let machine_perm: Vec<u32> = (0..inst.num_machines() as u32).collect();
     build_canonical(inst, order, machine_perm)
 }
 
-/// `R`: machine rows are keyed by their sorted multiset; ties between
-/// rows are broken by enumerating their orderings (bounded) and keeping
-/// the smallest certificate.
+/// `R`: machine rows are keyed by a hash of their multiset of times;
+/// ties between rows are broken by enumerating their orderings (bounded)
+/// and keeping the smallest certificate.
 fn canonicalize_unrelated(inst: &Instance, times: &[Vec<u64>]) -> Canonical {
-    // Invariant machine key: the sorted multiset of the row.
-    let mut keyed: Vec<(Vec<u64>, u32)> = times
+    // Invariant machine key: a wrapping sum of mixed times, which no job
+    // order can change.
+    let mut keyed: Vec<(u64, u32)> = times
         .iter()
         .enumerate()
         .map(|(i, row)| {
-            let mut k = row.clone();
-            k.sort_unstable();
-            (k, i as u32)
+            let key = row
+                .iter()
+                .fold(0u64, |sum, &t| sum.wrapping_add(mix(0x7a11, t)));
+            (key, i as u32)
         })
         .collect();
-    keyed.sort();
+    keyed.sort_unstable();
     // Tie classes of machines with identical keys.
-    let mut classes: Vec<Vec<u32>> = Vec::new();
-    for (k, i) in keyed {
-        match classes.last_mut() {
-            Some(last)
-                if {
-                    let mut lk = times[last[0] as usize].clone();
-                    lk.sort_unstable();
-                    lk == k
-                } =>
-            {
-                last.push(i)
-            }
-            _ => classes.push(vec![i]),
-        }
-    }
+    let classes: Vec<Vec<u32>> = keyed
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| run.iter().map(|&(_, i)| i).collect())
+        .collect();
     let mut best: Option<Canonical> = None;
     for machine_perm in enumerate_machine_orders(&classes, MACHINE_ORDER_BUDGET) {
         // With a fixed machine order, a job's exact column is invariant
@@ -139,7 +138,7 @@ fn canonicalize_unrelated(inst: &Instance, times: &[Vec<u64>]) -> Canonical {
                 h
             })
             .collect();
-        let order = canonical_job_order(inst.graph(), &init);
+        let order = canonical_job_order(inst.graph(), init);
         let cand = build_canonical(inst, order, machine_perm);
         if best
             .as_ref()
@@ -206,63 +205,27 @@ fn permutations(items: &[u32], cap: usize) -> Vec<Vec<u32>> {
 /// Assembles the canonical instance + certificate from a job order and a
 /// machine order.
 fn build_canonical(inst: &Instance, order: Vec<u32>, machine_perm: Vec<u32>) -> Canonical {
-    let n = inst.num_jobs();
-    let mut inv = vec![0u32; n];
-    for (c, &j) in order.iter().enumerate() {
-        inv[j as usize] = c as u32;
+    let graph = inst.graph().permuted(&order);
+    let processing = || order.iter().map(|&j| inst.processing(j)).collect();
+    let instance = match inst.env() {
+        MachineEnvironment::Identical { m } => Instance::identical(*m, processing(), graph),
+        MachineEnvironment::Uniform { speeds } => {
+            Instance::uniform(speeds.clone(), processing(), graph)
+        }
+        MachineEnvironment::Unrelated { times } => Instance::unrelated(
+            machine_perm
+                .iter()
+                .map(|&i| {
+                    let row = &times[i as usize];
+                    order.iter().map(|&j| row[j as usize]).collect()
+                })
+                .collect(),
+            graph,
+        ),
     }
-    // Edges in canonical indices, normalized and sorted.
-    let mut edges: Vec<(u32, u32)> = inst
-        .graph()
-        .edges()
-        .map(|(u, v)| {
-            let (a, b) = (inv[u as usize], inv[v as usize]);
-            (a.min(b), a.max(b))
-        })
-        .collect();
-    edges.sort_unstable();
-    let data = match inst.env() {
-        MachineEnvironment::Identical { m } => InstanceData {
-            env: "P".into(),
-            machines: Some(*m),
-            speeds: None,
-            processing: Some(order.iter().map(|&j| inst.processing(j)).collect()),
-            times: None,
-            jobs: n,
-            edges,
-        },
-        MachineEnvironment::Uniform { speeds } => InstanceData {
-            env: "Q".into(),
-            machines: None,
-            speeds: Some(speeds.clone()),
-            processing: Some(order.iter().map(|&j| inst.processing(j)).collect()),
-            times: None,
-            jobs: n,
-            edges,
-        },
-        MachineEnvironment::Unrelated { times } => InstanceData {
-            env: "R".into(),
-            machines: None,
-            speeds: None,
-            processing: None,
-            times: Some(
-                machine_perm
-                    .iter()
-                    .map(|&i| {
-                        order
-                            .iter()
-                            .map(|&j| times[i as usize][j as usize])
-                            .collect()
-                    })
-                    .collect(),
-            ),
-            jobs: n,
-            edges,
-        },
-    };
-    let certificate = certificate_bytes(&data);
+    .expect("canonical relabeling is valid");
+    let certificate = certificate_bytes(&instance);
     let fingerprint = fnv128(&certificate);
-    let instance = data.into_instance().expect("canonical relabeling is valid");
     Canonical {
         instance,
         job_perm: order,
@@ -272,53 +235,71 @@ fn build_canonical(inst: &Instance, order: Vec<u32>, machine_perm: Vec<u32>) -> 
     }
 }
 
-/// Stable byte encoding of a canonical [`InstanceData`].
-fn certificate_bytes(data: &InstanceData) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(data.env.as_bytes());
+/// Stable byte encoding of a canonical instance: environment, job count,
+/// machine data, job data, then the edge list in sorted order (32-bit
+/// endpoints; every other number is 64-bit).
+fn certificate_bytes(inst: &Instance) -> Vec<u8> {
+    let n = inst.num_jobs();
+    let graph = inst.graph();
+    let mut out = Vec::with_capacity(8 * (n * inst.num_machines() + graph.num_edges() + 8));
     let push = |out: &mut Vec<u8>, x: u64| out.extend_from_slice(&x.to_le_bytes());
-    push(&mut out, data.jobs as u64);
-    if let Some(m) = data.machines {
-        out.push(b'm');
-        push(&mut out, m as u64);
-    }
-    if let Some(speeds) = &data.speeds {
-        out.push(b's');
-        push(&mut out, speeds.len() as u64);
-        speeds.iter().for_each(|&s| push(&mut out, s));
-    }
-    if let Some(p) = &data.processing {
-        out.push(b'p');
-        p.iter().for_each(|&x| push(&mut out, x));
-    }
-    if let Some(times) = &data.times {
-        out.push(b't');
-        push(&mut out, times.len() as u64);
-        for row in times {
-            row.iter().for_each(|&x| push(&mut out, x));
+    out.extend_from_slice(inst.env().alpha().as_bytes());
+    push(&mut out, n as u64);
+    match inst.env() {
+        MachineEnvironment::Identical { m } => {
+            out.push(b'm');
+            push(&mut out, *m as u64);
+        }
+        MachineEnvironment::Uniform { speeds } => {
+            out.push(b's');
+            push(&mut out, speeds.len() as u64);
+            speeds.iter().for_each(|&s| push(&mut out, s));
+        }
+        MachineEnvironment::Unrelated { times } => {
+            out.push(b't');
+            push(&mut out, times.len() as u64);
+            for row in times {
+                row.iter().for_each(|&x| push(&mut out, x));
+            }
         }
     }
+    if !matches!(inst.env(), MachineEnvironment::Unrelated { .. }) {
+        out.push(b'p');
+        inst.processing_all()
+            .iter()
+            .for_each(|&x| push(&mut out, x));
+    }
     out.push(b'e');
-    push(&mut out, data.edges.len() as u64);
-    for &(u, v) in &data.edges {
-        push(&mut out, u as u64);
-        push(&mut out, v as u64);
+    push(&mut out, graph.num_edges() as u64);
+    for (u, v) in graph.edges() {
+        out.extend_from_slice(&u.to_le_bytes());
+        out.extend_from_slice(&v.to_le_bytes());
     }
     out
 }
 
-/// 128-bit FNV-1a — the hash behind [`Canonical::fingerprint`], exposed
-/// so callers composing cache keys (e.g. the service's config-aware key)
-/// use the same construction.
+/// 128-bit FNV-1a over the little-endian 64-bit words of `bytes` (the
+/// last word zero-padded, then the length), with the high half folded
+/// into the low one so the low bits depend on the whole input — the hash
+/// behind [`Canonical::fingerprint`], exposed so callers composing cache
+/// keys (e.g. the service's config-aware key) use the same construction.
 pub fn fnv128(bytes: &[u8]) -> u128 {
     const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
     let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u128;
+    let mut absorb = |word: u64| {
+        h ^= word as u128;
         h = h.wrapping_mul(PRIME);
+    };
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        absorb(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
     }
-    h
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    absorb(u64::from_le_bytes(tail));
+    absorb(bytes.len() as u64);
+    h ^ (h >> 64)
 }
 
 /// 64-bit hash combiner (splitmix-style finalization).
@@ -331,78 +312,147 @@ fn mix(seed: u64, x: u64) -> u64 {
 
 /// Canonical job order: color refinement, then individualization search
 /// over the remaining ties keeping the smallest certificate.
-fn canonical_job_order(graph: &Graph, init: &[u64]) -> Vec<u32> {
+fn canonical_job_order(graph: &Graph, init: Vec<u64>) -> Vec<u32> {
     let mut budget = SEARCH_BUDGET;
-    let mut best: Option<(Vec<u8>, Vec<u32>)> = None;
-    search_order(graph, init.to_vec(), &mut budget, &mut best);
-    best.expect("search yields at least one order").1
+    let mut best: Option<Leaf> = None;
+    let mut bufs = SearchBuffers::new(init.len());
+    search_order(graph, init, &mut bufs, &mut budget, &mut best);
+    best.expect("search yields at least one order").order
 }
 
-/// One search node: refine, shortcut or branch on the first tied cell.
+/// Buffers shared by every search node of one job-order search.
+struct SearchBuffers {
+    /// The colors before the current refinement round.
+    prev: Vec<u64>,
+    /// The jobs sorted by color, ties by id, after the latest refinement.
+    by_color: Vec<u32>,
+    /// Bucket bounds for [`sort_by_color`].
+    buckets: Vec<usize>,
+    /// All-`false` per-job mask for [`is_interchangeable_cell`].
+    in_cell: Vec<bool>,
+}
+
+impl SearchBuffers {
+    fn new(n: usize) -> Self {
+        SearchBuffers {
+            prev: vec![0; n],
+            by_color: vec![0; n],
+            buckets: Vec::new(),
+            in_cell: vec![false; n],
+        }
+    }
+}
+
+/// The best discrete coloring the search has reached so far. Its
+/// certificate key is only built once a second leaf must be compared
+/// with it, so a search that never branches never builds one.
+struct Leaf {
+    order: Vec<u32>,
+    colors: Vec<u64>,
+    key: Option<Vec<u8>>,
+}
+
+/// One search node: refine, then repeatedly individualize every
+/// interchangeable tied cell at once and refine again; once no tied cell
+/// is interchangeable, branch on the first one.
 fn search_order(
     graph: &Graph,
     mut colors: Vec<u64>,
+    bufs: &mut SearchBuffers,
     budget: &mut usize,
-    best: &mut Option<(Vec<u8>, Vec<u32>)>,
+    best: &mut Option<Leaf>,
 ) {
-    refine(graph, &mut colors);
+    refine(graph, &mut colors, bufs);
     loop {
-        let cells = tied_cells(&colors);
-        let Some(cell) = cells.first().cloned() else {
-            // Discrete: order by color (all distinct).
-            let mut order: Vec<u32> = (0..colors.len() as u32).collect();
-            order.sort_unstable_by_key(|&j| colors[j as usize]);
-            let key = order_key(graph, &colors, &order);
-            if best.as_ref().is_none_or(|(bk, _)| key < *bk) {
-                *best = Some((key, order));
-            }
+        let cells: Vec<&[u32]> = bufs
+            .by_color
+            .chunk_by(|&a, &b| colors[a as usize] == colors[b as usize])
+            .filter(|cell| cell.len() > 1)
+            .collect();
+        if cells.is_empty() {
+            offer_leaf(graph, colors, bufs.by_color.clone(), best);
             return;
-        };
-        if is_interchangeable_cell(graph, &colors, &cell) {
-            // Any ordering of the cell yields the same certificate:
-            // individualize all members at once, in current order, and
-            // keep refining without branching.
-            for (rank, &j) in cell.iter().enumerate() {
-                colors[j as usize] = mix(colors[j as usize], rank as u64 + 1);
+        }
+        // Any ordering of an interchangeable cell yields the same
+        // certificate, and interchangeability depends on adjacency alone,
+        // so every such cell is individualized (members in id order) in
+        // one pass followed by a single refinement.
+        let mut batched = false;
+        for &cell in &cells {
+            if is_interchangeable_cell(graph, &mut bufs.in_cell, cell) {
+                for (rank, &j) in cell.iter().enumerate() {
+                    colors[j as usize] = mix(colors[j as usize], rank as u64 + 1);
+                }
+                batched = true;
             }
-            refine(graph, &mut colors);
+        }
+        if batched {
+            refine(graph, &mut colors, bufs);
             continue;
         }
-        // Branch: individualize each candidate in the cell.
-        let candidates: &[u32] = if *budget == 0 { &cell[..1] } else { &cell };
+        // Branch: individualize each candidate in the first cell.
+        #[cfg(test)]
+        work::BRANCHES.with(|b| b.set(b.get() + 1));
+        let cell = cells[0].to_vec();
+        let candidates = if *budget == 0 { &cell[..1] } else { &cell[..] };
         for &j in candidates {
             if *budget > 0 {
                 *budget -= 1;
             }
             let mut next = colors.clone();
             next[j as usize] = mix(next[j as usize], 0x1d1f);
-            search_order(graph, next, budget, best);
+            search_order(graph, next, bufs, budget, best);
         }
         return;
     }
 }
 
-/// Stable refinement: each round every job absorbs the sorted multiset of
-/// its neighbors' colors; stops when the partition stops growing.
-fn refine(graph: &Graph, colors: &mut [u64]) {
-    let mut distinct = count_distinct(colors);
-    loop {
-        let mut next = vec![0u64; colors.len()];
-        for j in 0..colors.len() {
-            let mut nb: Vec<u64> = graph
+/// Keeps the discrete coloring `colors`, whose jobs sorted by color are
+/// `order`, if it has a smaller certificate key than the best leaf so far.
+fn offer_leaf(graph: &Graph, colors: Vec<u64>, order: Vec<u32>, best: &mut Option<Leaf>) {
+    let Some(b) = best else {
+        *best = Some(Leaf {
+            order,
+            colors,
+            key: None,
+        });
+        return;
+    };
+    let best_key = b
+        .key
+        .get_or_insert_with(|| order_key(graph, &b.colors, &b.order));
+    let key = order_key(graph, &colors, &order);
+    if key < *best_key {
+        *b = Leaf {
+            order,
+            colors,
+            key: Some(key),
+        };
+    }
+}
+
+/// Stable refinement: each round every job absorbs the multiset of its
+/// neighbors' colors (hashed as their wrapping sum, which no neighbor
+/// order can change; colors are well-mixed hashes, so unequal multisets
+/// collide with negligible probability); stops when the partition stops
+/// growing. A job's new color also hashes its old one, so a round only
+/// ever splits cells, and an unchanged count of distinct colors means a
+/// stable partition, as does a discrete one. Leaves the jobs sorted by
+/// their final colors in `bufs.by_color`.
+fn refine(graph: &Graph, colors: &mut [u64], bufs: &mut SearchBuffers) {
+    let mut distinct = sort_by_color(colors, bufs);
+    while distinct < colors.len() {
+        #[cfg(test)]
+        work::ROUNDS.with(|r| r.set(r.get() + 1));
+        bufs.prev.copy_from_slice(colors);
+        for (j, c) in colors.iter_mut().enumerate() {
+            let around = graph
                 .neighbors(j as u32)
                 .iter()
-                .map(|&v| colors[v as usize])
-                .collect();
-            nb.sort_unstable();
-            let mut h = mix(0xace1, colors[j]);
-            for c in nb {
-                h = mix(h, c);
-            }
-            next[j] = h;
+                .fold(0u64, |sum, &v| sum.wrapping_add(bufs.prev[v as usize]));
+            *c = mix(*c, around);
         }
-        let d = count_distinct(&next);
-        colors.copy_from_slice(&next);
+        let d = sort_by_color(colors, bufs);
         if d == distinct {
             return;
         }
@@ -410,97 +460,118 @@ fn refine(graph: &Graph, colors: &mut [u64]) {
     }
 }
 
-fn count_distinct(colors: &[u64]) -> usize {
-    let mut sorted = colors.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    sorted.len()
-}
-
-/// Non-singleton color classes, ordered by color value, members by id.
-fn tied_cells(colors: &[u64]) -> Vec<Vec<u32>> {
-    let mut by_color: Vec<(u64, u32)> = colors
-        .iter()
-        .enumerate()
-        .map(|(j, &c)| (c, j as u32))
-        .collect();
-    by_color.sort_unstable();
-    let mut cells = Vec::new();
-    let mut i = 0;
-    while i < by_color.len() {
-        let mut k = i + 1;
-        while k < by_color.len() && by_color[k].0 == by_color[i].0 {
-            k += 1;
-        }
-        if k - i > 1 {
-            cells.push(by_color[i..k].iter().map(|&(_, j)| j).collect());
-        }
-        i = k;
+/// Sorts all jobs by color, ties by id, into `bufs.by_color` and
+/// returns the number of distinct colors. Colors are well-mixed hashes,
+/// so one counting pass on their top bits spreads the jobs over as many
+/// buckets as there are jobs, leaving only a few to compare per bucket;
+/// colors crafted to share a bucket cost a comparison sort, no more.
+fn sort_by_color(colors: &[u64], bufs: &mut SearchBuffers) -> usize {
+    let n = colors.len();
+    let bits = n.next_power_of_two().trailing_zeros();
+    let bucket = |j: usize| colors[j].checked_shr(64 - bits).unwrap_or(0) as usize;
+    let ends = &mut bufs.buckets;
+    ends.clear();
+    ends.resize(1 << bits, 0);
+    for j in 0..n {
+        ends[bucket(j)] += 1;
     }
-    cells
+    for b in 1..ends.len() {
+        ends[b] += ends[b - 1];
+    }
+    let sorted = &mut bufs.by_color;
+    for j in (0..n).rev() {
+        let end = &mut ends[bucket(j)];
+        *end -= 1;
+        sorted[*end] = j as u32;
+    }
+    // `ends` now holds each bucket's start.
+    let mut start = n;
+    for &b in ends.iter().rev() {
+        if start - b > 1 {
+            sorted[b..start].sort_unstable_by_key(|&j| (colors[j as usize], j));
+        }
+        start = b;
+    }
+    sorted
+        .chunk_by(|&a, &b| colors[a as usize] == colors[b as usize])
+        .count()
 }
 
 /// Whether every job outside the cell is adjacent to all or none of it,
 /// and the cell's induced subgraph is complete or empty — i.e. the cell's
-/// members are fully interchangeable and need no branching.
-fn is_interchangeable_cell(graph: &Graph, colors: &[u64], cell: &[u32]) -> bool {
+/// members are fully interchangeable and need no branching. `in_cell` is
+/// an all-`false` per-job mask, left all-`false` on return.
+fn is_interchangeable_cell(graph: &Graph, in_cell: &mut [bool], cell: &[u32]) -> bool {
     let k = cell.len();
-    let in_cell: Vec<bool> = {
-        let mut mask = vec![false; colors.len()];
-        for &j in cell {
-            mask[j as usize] = true;
-        }
-        mask
-    };
+    for &j in cell {
+        in_cell[j as usize] = true;
+    }
     let mut inner_edges = 0usize;
-    let mut outside_counts = std::collections::HashMap::new();
+    let mut outside: Vec<u32> = Vec::new();
     for &j in cell {
         for &v in graph.neighbors(j) {
             if in_cell[v as usize] {
                 inner_edges += 1;
             } else {
-                *outside_counts.entry(v).or_insert(0usize) += 1;
+                outside.push(v);
             }
         }
+    }
+    for &j in cell {
+        in_cell[j as usize] = false;
     }
     inner_edges /= 2;
     if inner_edges != 0 && inner_edges != k * (k - 1) / 2 {
         return false;
     }
-    outside_counts.values().all(|&c| c == k)
+    // Every outside neighbor must occur exactly `k` times.
+    outside.sort_unstable();
+    outside.chunk_by(|a, b| a == b).all(|run| run.len() == k)
 }
 
 /// Certificate key of a discrete order: per-job initial-invariant colors
 /// would already be equal inside former ties, so the distinguishing data
 /// is the edge relation (plus the colors for cross-cell stability).
 fn order_key(graph: &Graph, colors: &[u64], order: &[u32]) -> Vec<u8> {
-    let n = order.len();
-    let mut inv = vec![0u32; n];
-    for (c, &j) in order.iter().enumerate() {
-        inv[j as usize] = c as u32;
-    }
-    let mut edges: Vec<(u32, u32)> = graph
-        .edges()
-        .map(|(u, v)| {
-            let (a, b) = (inv[u as usize], inv[v as usize]);
-            (a.min(b), a.max(b))
-        })
-        .collect();
-    edges.sort_unstable();
-    let mut key = Vec::with_capacity(n * 8 + edges.len() * 8);
+    let relabeled = graph.permuted(order);
+    let mut key = Vec::with_capacity(8 * (order.len() + relabeled.num_edges()));
     for &j in order {
         key.extend_from_slice(&colors[j as usize].to_le_bytes());
     }
-    for (u, v) in edges {
+    for (u, v) in relabeled.edges() {
         key.extend_from_slice(&u.to_le_bytes());
         key.extend_from_slice(&v.to_le_bytes());
     }
     key
 }
 
+/// Deterministic work counters of the calling thread's canonicalizations,
+/// so tests can bound the search's work rather than its wall time.
+#[cfg(test)]
+mod work {
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Refinement rounds.
+        pub static ROUNDS: Cell<usize> = const { Cell::new(0) };
+        /// Branching search nodes.
+        pub static BRANCHES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Runs `f` and returns its result with the rounds and branch nodes
+    /// it took.
+    pub fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+        ROUNDS.with(|r| r.set(0));
+        BRANCHES.with(|b| b.set(0));
+        let out = f();
+        (out, ROUNDS.with(Cell::get), BRANCHES.with(Cell::get))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::InstanceData;
     use bisched_graph::Graph;
 
     fn fp(inst: &Instance) -> u128 {
@@ -592,14 +663,76 @@ mod tests {
 
     #[test]
     fn empty_graph_symmetric_classes_fast_path() {
-        // Fully symmetric tie classes: must resolve via the
-        // interchangeable-cell shortcut, not the branching search.
+        // Fully symmetric tie classes: must resolve via the batched
+        // interchangeable-cell pass, not the branching search.
         let mut sizes = vec![7u64; 20];
         sizes.extend(vec![3u64; 20]);
         let a = Instance::identical(4, sizes, Graph::empty(40)).unwrap();
         let interleaved: Vec<u64> = (0..40).map(|j| if j % 2 == 0 { 7 } else { 3 }).collect();
         let b = Instance::identical(4, interleaved, Graph::empty(40)).unwrap();
         assert_eq!(fp(&a), fp(&b));
+    }
+
+    /// Relabels `inst`'s jobs: old job `j` becomes `perm[j]`.
+    fn relabel_jobs(inst: &Instance, perm: &[u32]) -> Instance {
+        let mut data = InstanceData::from_instance(inst);
+        let p = data.processing.as_ref().expect("P/Q instance");
+        let mut moved = vec![0u64; p.len()];
+        for (j, &x) in p.iter().enumerate() {
+            moved[perm[j] as usize] = x;
+        }
+        data.processing = Some(moved);
+        for e in &mut data.edges {
+            *e = (perm[e.0 as usize], perm[e.1 as usize]);
+        }
+        data.into_instance().unwrap()
+    }
+
+    #[test]
+    fn batched_interchangeable_cells_and_branching_mix() {
+        // Interchangeable cells: three isolated size-4 jobs (0..3), three
+        // isolated size-6 jobs (3..6), and three size-2 twin leaves
+        // (7..10) of the size-9 star center 6. Not interchangeable: the
+        // two isomorphic isolated edges 10-11 and 12-13 (sizes 5-7).
+        let sizes = vec![4, 4, 4, 6, 6, 6, 9, 2, 2, 2, 5, 7, 5, 7];
+        let edges = [(6, 7), (6, 8), (6, 9), (10, 11), (12, 13)];
+        let inst = Instance::identical(3, sizes, Graph::from_edges(14, &edges)).unwrap();
+        let (base, rounds, branches) = work::measure(|| canonicalize(&inst));
+        // All three interchangeable cells go in one pass and one
+        // refinement (one refinement per cell takes 8 rounds); the edge
+        // pair then needs one branch node.
+        assert_eq!(branches, 1, "exactly one branch node");
+        assert!(rounds <= 5, "{rounds} refinement rounds");
+        let perms: [[u32; 14]; 3] = [
+            [13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0],
+            [3, 9, 0, 12, 5, 1, 7, 11, 2, 13, 6, 4, 10, 8],
+            [12, 13, 10, 11, 2, 0, 1, 4, 5, 3, 8, 9, 7, 6],
+        ];
+        for perm in &perms {
+            let c = canonicalize(&relabel_jobs(&inst, perm));
+            assert_eq!(c.certificate, base.certificate);
+            assert_eq!(
+                InstanceData::from_instance(&c.instance),
+                InstanceData::from_instance(&base.instance)
+            );
+        }
+        let again = canonicalize(&base.instance);
+        assert_eq!(again.certificate, base.certificate);
+    }
+
+    #[test]
+    fn critical_gilbert_canonicalizes_in_few_refinement_rounds() {
+        // The service's large P requests: G(400, 400, 2/400) leaves many
+        // isolated jobs and small isomorphic components. Batching the
+        // interchangeable cells keeps the whole search within a handful
+        // of refinements; one refinement per cell took about 30.
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let g = bisched_graph::gilbert_bipartite(400, 400, 2.0 / 400.0, &mut rng);
+        let sizes = crate::JobSizes::Uniform { lo: 1, hi: 30 }.sample(800, &mut rng);
+        let inst = Instance::identical(4, sizes, g).unwrap();
+        let (_, rounds, _) = work::measure(|| canonicalize(&inst));
+        assert!(rounds <= 12, "{rounds} refinement rounds");
     }
 
     #[test]

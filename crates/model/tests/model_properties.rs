@@ -298,3 +298,87 @@ proptest! {
         );
     }
 }
+
+/// Applies job permutation `jp` (and, for `R`, machine permutation `mp`)
+/// to an instance: old job `j` becomes `jp[j]`, old machine `i` becomes
+/// `mp[i]`.
+fn relabeled(data: &InstanceData, jp: &[u32], mp: &[u32]) -> InstanceData {
+    let permute = |row: &[u64]| {
+        let mut out = vec![0u64; row.len()];
+        for (j, &x) in row.iter().enumerate() {
+            out[jp[j] as usize] = x;
+        }
+        out
+    };
+    let mut out = data.clone();
+    out.processing = data.processing.as_deref().map(permute);
+    out.times = data.times.as_ref().map(|times| {
+        let mut rows = vec![Vec::new(); times.len()];
+        for (i, row) in times.iter().enumerate() {
+            rows[mp[i] as usize] = permute(row);
+        }
+        rows
+    });
+    out.edges = relabel_edges(&data.edges, jp);
+    out
+}
+
+/// The service's benchmark mix: `P`, `Q` and `R` at n = 200 and 800 on
+/// critical-window Gilbert and bounded-degree graphs. Every seeded job
+/// (and, for `R`, machine) relabeling must reach the same normal form,
+/// and the normal form must be its own.
+#[test]
+fn canonical_form_is_invariant_at_benchmark_scale() {
+    use bisched_graph::{bounded_degree_bipartite, gilbert_bipartite};
+    use bisched_model::{JobSizes, SpeedProfile, UnrelatedFamily};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let mut rng = StdRng::seed_from_u64(2106);
+    for n in [200usize, 800] {
+        let side = n / 2;
+        for graph_kind in 0..2 {
+            for model in 0..3 {
+                let g = if graph_kind == 0 {
+                    gilbert_bipartite(side, side, 2.0 / side as f64, &mut rng)
+                } else {
+                    bounded_degree_bipartite(side, side, 4, 0.8, &mut rng)
+                };
+                let sizes = JobSizes::Uniform { lo: 1, hi: 30 }.sample(n, &mut rng);
+                let inst = match model {
+                    0 => Instance::identical(4, sizes, g),
+                    1 => {
+                        Instance::uniform(SpeedProfile::Geometric { ratio: 2 }.speeds(3), sizes, g)
+                    }
+                    _ => Instance::unrelated(
+                        UnrelatedFamily::Uncorrelated { lo: 1, hi: 40 }.sample(3, n, &mut rng),
+                        g,
+                    ),
+                }
+                .unwrap();
+                let data = InstanceData::from_instance(&inst);
+                let base = bisched_model::canonicalize(&inst);
+                let normal = InstanceData::from_instance(&base.instance);
+                let case = format!("n={n} graph={graph_kind} model={model}");
+                for seed in 0..4u64 {
+                    let jp = shuffled(n, seed);
+                    let mp = shuffled(inst.num_machines(), seed ^ 0xABCD);
+                    let other = relabeled(&data, &jp, &mp).into_instance().unwrap();
+                    let c = bisched_model::canonicalize(&other);
+                    assert!(c.certificate == base.certificate, "{case} seed={seed}");
+                    assert_eq!(InstanceData::from_instance(&c.instance), normal, "{case}");
+                }
+                let again = bisched_model::canonicalize(&base.instance);
+                assert!(
+                    again.certificate == base.certificate,
+                    "{case}: not idempotent"
+                );
+                assert_eq!(
+                    InstanceData::from_instance(&again.instance),
+                    normal,
+                    "{case}"
+                );
+            }
+        }
+    }
+}

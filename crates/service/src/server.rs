@@ -562,14 +562,8 @@ fn next_message(pending: &mut Vec<u8>, mode: FrameMode) -> Result<Option<Vec<u8>
             let Some(pos) = pending.iter().position(|&b| b == b'\n') else {
                 return Ok(None);
             };
-            let mut line: Vec<u8> = pending.drain(..=pos).collect();
-            line.pop(); // the delimiter
-            while line.last().is_some_and(|b| b.is_ascii_whitespace()) {
-                line.pop();
-            }
-            while line.first().is_some_and(|b| b.is_ascii_whitespace()) {
-                line.remove(0);
-            }
+            let line = pending[..pos].trim_ascii().to_vec();
+            pending.drain(..=pos);
             Ok(Some(line))
         }
         FrameMode::Binary => {
@@ -718,7 +712,7 @@ fn handle_request(
                 ),
             }
         }
-        "solve" => (handle_solve(&req, conn, shared), None),
+        "solve" => (handle_solve(req, conn, shared), None),
         other => {
             count(fallback_shard(conn, shared));
             (
@@ -729,7 +723,7 @@ fn handle_request(
     }
 }
 
-fn handle_solve(req: &Request, conn: &mut ConnState, shared: &Shared) -> Response {
+fn handle_solve(mut req: Request, conn: &mut ConnState, shared: &Shared) -> Response {
     let t0 = Instant::now();
     // Mint the request id first: every span and log line this request
     // produces — here and in the worker — carries it.
@@ -745,7 +739,7 @@ fn handle_solve(req: &Request, conn: &mut ConnState, shared: &Shared) -> Respons
         shard.metrics.errors.fetch_add(1, Ordering::Relaxed);
         Response::error(id, message)
     };
-    let Some(data) = req.instance.clone() else {
+    let Some(data) = req.instance.take() else {
         return fail_unrouted("solve requires `instance`".into());
     };
     let config = match req.solver_config(&shared.base_config) {
@@ -1193,6 +1187,17 @@ mod tests {
         pending.extend_from_slice(b":\"stats\"}\n");
         let second = next_message(&mut pending, FrameMode::Json).unwrap();
         assert_eq!(second.as_deref(), Some(b"{\"verb\":\"stats\"}".as_slice()));
+        assert!(pending.is_empty());
+    }
+
+    #[test]
+    fn heavily_padded_json_line_trims_to_the_bare_message() {
+        let bare = b"{\"verb\":\"ping\",\"id\":7}";
+        let mut pending = vec![b' '; 100_000];
+        pending.extend_from_slice(bare);
+        pending.extend_from_slice(b" \t\n");
+        let got = next_message(&mut pending, FrameMode::Json).unwrap();
+        assert_eq!(got.as_deref(), Some(bare.as_slice()));
         assert!(pending.is_empty());
     }
 
